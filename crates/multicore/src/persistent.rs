@@ -6,7 +6,7 @@
 //! synchronization and runtime overheads)". This backend implements
 //! that idea: worker threads are spawned **once** and live for the
 //! backend's lifetime; each PLF call publishes a job epoch, workers
-//! self-schedule pattern chunks off a single atomic counter, and the
+//! self-schedule pattern chunks off that job's atomic counter, and the
 //! caller participates in the work and spin-waits for the last chunk —
 //! no thread creation, no parked-thread wakeup on the critical path
 //! beyond one condvar broadcast.
@@ -25,33 +25,42 @@ const CHUNK_PATTERNS: usize = 256;
 
 type Task = Box<dyn Fn(usize) + Send + Sync>;
 
+/// One published kernel call: its task plus the claim and completion
+/// counters of *this* call. Workers clone the `Arc`, so a worker still
+/// draining call k after its caller moved on can only claim from call
+/// k's exhausted counter — never a chunk of call k+1, which would run
+/// call k's task after `run_job` returned and leave call k+1's chunk
+/// unrun.
+struct Job {
+    task: Task,
+    n_chunks: usize,
+    next_chunk: AtomicUsize,
+    chunks_done: AtomicUsize,
+}
+
+impl Job {
+    /// Claim and run chunks until this job is exhausted.
+    fn drain(&self) {
+        loop {
+            let i = self.next_chunk.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n_chunks {
+                break;
+            }
+            (self.task)(i);
+            self.chunks_done.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
 struct PoolState {
     epoch: u64,
-    task: Option<Arc<Task>>,
+    job: Option<Arc<Job>>,
     shutdown: bool,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
     job_ready: Condvar,
-    next_chunk: AtomicUsize,
-    chunks_done: AtomicUsize,
-    n_chunks: AtomicUsize,
-}
-
-impl PoolShared {
-    /// Claim and run chunks until the current job is exhausted.
-    fn drain(&self, task: &Task) {
-        let n = self.n_chunks.load(Ordering::Acquire);
-        loop {
-            let i = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            task(i);
-            self.chunks_done.fetch_add(1, Ordering::Release);
-        }
-    }
 }
 
 /// A pointer that may cross threads; safety is established by the job
@@ -62,14 +71,17 @@ struct SendPtr(*mut f32);
 // SendPtr is a plain address. Soundness is discharged at every deref
 // site (the `from_raw_parts_mut` calls below), which must uphold:
 // (1) disjointness — chunk `i` derives a slice covering only its own
-//     `[lo, hi)` region, and the fetch-add chunk counter hands each
-//     index to exactly one worker per job, so no two live `&mut [f32]`
-//     overlap;
+//     `[lo, hi)` region, and the job's own fetch-add counter hands each
+//     index below `n_chunks` to exactly one worker, once, so no two
+//     live `&mut [f32]` overlap;
 // (2) lifetime — the pointee buffer is borrowed by the caller of
-//     `run_job`, which blocks until `chunks_done == n_chunks` (with an
-//     Acquire load pairing against each worker's Release increment),
-//     so every derived slice is dead — and its writes visible — before
-//     the borrow ends.
+//     `run_job`, and slices are derived only inside a task call for a
+//     claimed index. `run_job` returns once the job's `chunks_done`
+//     reaches `n_chunks` (an Acquire load pairing with each worker's
+//     Release increment), that is, after every such call has returned
+//     and its writes are visible. A worker may hold the job, and with
+//     it this address, past that point, but its counter is exhausted,
+//     so no slice is derived from it after the borrow ends.
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
@@ -99,13 +111,10 @@ impl PersistentPoolBackend {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 epoch: 0,
-                task: None,
+                job: None,
                 shutdown: false,
             }),
             job_ready: Condvar::new(),
-            next_chunk: AtomicUsize::new(0),
-            chunks_done: AtomicUsize::new(0),
-            n_chunks: AtomicUsize::new(0),
         });
         let workers = (1..n_threads)
             .map(|_| {
@@ -114,7 +123,7 @@ impl PersistentPoolBackend {
                     let mut seen_epoch = 0u64;
                     loop {
                         // Wait for a new job epoch (or shutdown).
-                        let task = {
+                        let job = {
                             let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
                             loop {
                                 if st.shutdown {
@@ -122,15 +131,15 @@ impl PersistentPoolBackend {
                                 }
                                 if st.epoch != seen_epoch {
                                     seen_epoch = st.epoch;
-                                    // `run_job` publishes the task and
+                                    // `run_job` publishes the job and
                                     // bumps the epoch under this same
                                     // lock, so a fresh epoch always
                                     // carries one; should that
                                     // invariant ever break, waiting
                                     // again is safe — the caller
                                     // drains its own job regardless.
-                                    if let Some(task) = st.task.clone() {
-                                        break task;
+                                    if let Some(job) = st.job.clone() {
+                                        break job;
                                     }
                                 }
                                 st = shared
@@ -139,7 +148,7 @@ impl PersistentPoolBackend {
                                     .unwrap_or_else(|p| p.into_inner());
                             }
                         };
-                        shared.drain(&task);
+                        job.drain();
                     }
                 })
             })
@@ -171,21 +180,23 @@ impl PersistentPoolBackend {
         if n_chunks == 0 {
             return;
         }
-        let task: Arc<Task> = Arc::new(task);
-        self.shared.next_chunk.store(0, Ordering::Relaxed);
-        self.shared.chunks_done.store(0, Ordering::Relaxed);
-        self.shared.n_chunks.store(n_chunks, Ordering::Release);
+        let job = Arc::new(Job {
+            task,
+            n_chunks,
+            next_chunk: AtomicUsize::new(0),
+            chunks_done: AtomicUsize::new(0),
+        });
         {
             let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
             st.epoch += 1;
-            st.task = Some(Arc::clone(&task));
+            st.job = Some(Arc::clone(&job));
         }
         self.shared.job_ready.notify_all();
         // The caller is worker 0.
-        self.shared.drain(&task);
+        job.drain();
         // Spin for the stragglers (chunks are tiny; parking would cost
         // more than it saves — the TFlux premise).
-        while self.shared.chunks_done.load(Ordering::Acquire) < n_chunks {
+        while job.chunks_done.load(Ordering::Acquire) < n_chunks {
             std::hint::spin_loop();
         }
     }
@@ -240,8 +251,9 @@ impl PlfBackend for PersistentPoolBackend {
         let stride = n_rates * N_STATES;
         let schedule = self.schedule;
         // SAFETY: each worker writes a disjoint chunk region of `out`
-        // (chunk indices are claimed exactly once) and `run_job` joins
-        // all chunks before `out` can be touched again.
+        // (chunk indices are claimed exactly once) and `run_job`
+        // returns only after the last claimed chunk finished, before
+        // `out` can be touched again.
         let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
         let left = left.as_slice().to_vec();
         let right = right.as_slice().to_vec();
@@ -253,8 +265,9 @@ impl PlfBackend for PersistentPoolBackend {
             let lo = start * stride;
             let hi = end * stride;
             // SAFETY: each chunk index owns the disjoint region
-            // [lo, hi) of the output; the buffer outlives the job
-            // because run_job joins all chunks before returning.
+            // [lo, hi) of the output; the buffer outlives this slice
+            // because run_job waits for every claimed chunk (see
+            // SendPtr).
             let out_chunk =
                 unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(lo), hi - lo) };
             simd4::cond_like_down_range(
@@ -286,8 +299,9 @@ impl PlfBackend for PersistentPoolBackend {
         let stride = n_rates * N_STATES;
         let schedule = self.schedule;
         // SAFETY: each worker writes a disjoint chunk region of `out`
-        // (chunk indices are claimed exactly once) and `run_job` joins
-        // all chunks before `out` can be touched again.
+        // (chunk indices are claimed exactly once) and `run_job`
+        // returns only after the last claimed chunk finished, before
+        // `out` can be touched again.
         let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
         let a = a.as_slice().to_vec();
         let b = b.as_slice().to_vec();
@@ -324,8 +338,9 @@ impl PlfBackend for PersistentPoolBackend {
         let n_rates = clv.n_rates();
         let stride = n_rates * N_STATES;
         // SAFETY: workers scale disjoint pattern ranges of the CLV and
-        // write disjoint entries of `ln_scalers`; run_job joins before
-        // either buffer is read.
+        // write disjoint entries of `ln_scalers`; run_job returns only
+        // after the last claimed chunk finished, before either buffer
+        // is read.
         let clv_ptr = SendPtr(clv.as_mut_slice().as_mut_ptr());
         let sc_ptr = SendPtr(ln_scalers.as_mut_ptr());
         let rescaled = Arc::new(AtomicU64::new(0));
@@ -335,8 +350,8 @@ impl PlfBackend for PersistentPoolBackend {
             let end = (start + CHUNK_PATTERNS).min(m);
             // SAFETY: chunk `chunk` is claimed by exactly one worker,
             // and this slice covers only its pattern range scaled by
-            // `stride`; the CLV buffer outlives the job because
-            // `run_job` joins all chunks before returning.
+            // `stride`; the CLV buffer outlives this slice because
+            // `run_job` waits for every claimed chunk (see SendPtr).
             let clv_chunk = unsafe {
                 std::slice::from_raw_parts_mut(clv_ptr.get().add(start * stride), (end - start) * stride)
             };
@@ -389,8 +404,8 @@ impl PlfBackend for PersistentPoolBackend {
                 p_left: op.p_left.clone(),
                 p_right: op.p_right.clone(),
                 // SAFETY: global chunk indices map to disjoint regions
-                // of exactly one op's `out`; run_job joins before ops
-                // are reused.
+                // of exactly one op's `out`; run_job returns only after
+                // the last claimed chunk finished, before ops are reused.
                 out: SendPtr(op.out.as_mut_slice().as_mut_ptr()),
             });
             n_chunks += Self::n_chunks(m);
@@ -406,8 +421,8 @@ impl PlfBackend for PersistentPoolBackend {
             // SAFETY: the table assigns each global chunk index to one
             // op and one [lo, hi) region of that op's output; regions
             // of distinct chunks are disjoint and every output buffer
-            // outlives the job because run_job joins all chunks before
-            // returning.
+            // outlives this slice because run_job waits for every
+            // claimed chunk (see SendPtr).
             let out_chunk =
                 unsafe { std::slice::from_raw_parts_mut(job.out.get().add(lo), hi - lo) };
             simd4::cond_like_down_range(
@@ -453,8 +468,8 @@ impl PlfBackend for PersistentPoolBackend {
                 p_a: op.p_a.clone(),
                 p_b: op.p_b.clone(),
                 // SAFETY: global chunk indices map to disjoint regions
-                // of exactly one op's `out`; run_job joins before ops
-                // are reused.
+                // of exactly one op's `out`; run_job returns only after
+                // the last claimed chunk finished, before ops are reused.
                 out: SendPtr(op.out.as_mut_slice().as_mut_ptr()),
             });
             n_chunks += Self::n_chunks(m);
@@ -469,7 +484,7 @@ impl PlfBackend for PersistentPoolBackend {
             let hi = end * stride;
             // SAFETY: as in cond_like_down_fused — one op and one
             // disjoint region per global chunk index, buffers alive
-            // until run_job's barrier.
+            // until every claimed chunk finished (see SendPtr).
             let out_chunk =
                 unsafe { std::slice::from_raw_parts_mut(job.out.get().add(lo), hi - lo) };
             let cc = job.c.as_ref().map(|(clv, p)| (&clv[lo..hi], p));
@@ -508,7 +523,8 @@ impl PlfBackend for PersistentPoolBackend {
                 n_rates: op.clv.n_rates(),
                 // SAFETY: global chunk indices map to disjoint pattern
                 // ranges of exactly one op's CLV and scaler buffers;
-                // run_job joins before the ops are reused.
+                // run_job returns only after the last claimed chunk
+                // finished, before the ops are reused.
                 clv: SendPtr(op.clv.as_mut_slice().as_mut_ptr()),
                 scalers: SendPtr(op.ln_scalers.as_mut_ptr()),
             });
@@ -525,7 +541,8 @@ impl PlfBackend for PersistentPoolBackend {
             // SAFETY: one op and one disjoint pattern range per global
             // chunk index, for both the CLV region (scaled by `stride`)
             // and the per-pattern scaler region; both buffers outlive
-            // the job because run_job joins all chunks first.
+            // these slices because run_job waits for every claimed
+            // chunk (see SendPtr).
             let clv_chunk = unsafe {
                 std::slice::from_raw_parts_mut(
                     job.clv.get().add(start * stride),
@@ -626,8 +643,8 @@ mod tests {
             let task: Task = Box::new(move |chunk| {
                 // SAFETY: each chunk index is claimed exactly once per
                 // job and this slice covers only its own CHUNK_LEN
-                // region; `buf` outlives the job because run_job
-                // blocks until all chunks are done.
+                // region; `buf` outlives the slice because run_job
+                // blocks until every claimed chunk is done.
                 let region = unsafe {
                     std::slice::from_raw_parts_mut(ptr.get().add(chunk * CHUNK_LEN), CHUNK_LEN)
                 };
@@ -641,6 +658,37 @@ mod tests {
             let chunk = i / CHUNK_LEN;
             assert_eq!(x, (ROUNDS * (chunk + 1)) as f32, "element {i}");
         }
+    }
+
+    #[test]
+    fn back_to_back_single_chunk_jobs_each_run_their_own_task() {
+        // A worker still inside `drain` for job k used to claim chunk 0
+        // of job k+1 from shared counters, run job k's task after
+        // run_job returned, and count it done for job k+1, whose chunk
+        // then never ran (or, landing between the counter resets, made
+        // the caller spin forever). Each job here stores its own index,
+        // so a skipped or stale chunk shows as a wrong value, and the
+        // loop runs on its own thread so a hang fails the test.
+        const JOBS: usize = 200_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let looper = std::thread::spawn(move || {
+            let pool = PersistentPoolBackend::new(2);
+            let last = Arc::new(AtomicUsize::new(usize::MAX));
+            let mut wrong = 0usize;
+            for j in 0..JOBS {
+                let cell = Arc::clone(&last);
+                pool.run_job(1, Box::new(move |_| cell.store(j, Ordering::Relaxed)));
+                if last.load(Ordering::Relaxed) != j {
+                    wrong += 1;
+                }
+            }
+            let _ = tx.send(wrong);
+        });
+        let wrong = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_job hung, or the job loop panicked");
+        looper.join().expect("job loop thread");
+        assert_eq!(wrong, 0, "jobs whose own chunk did not run last");
     }
 
     #[test]

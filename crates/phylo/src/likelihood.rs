@@ -1,9 +1,11 @@
 //! Tree log-likelihood evaluation: ties together the model, the data,
 //! the evaluation plan, and a [`PlfBackend`].
 //!
-//! [`TreeLikelihood`] owns the per-node CLV workspace (the "likelihood
-//! vector data structures" the paper schedules onto processing elements)
-//! and drives any backend through a postorder plan, then integrates the
+//! [`TreeLikelihood`] owns the internal-node CLV workspace (the
+//! "likelihood vector data structures" the paper schedules onto
+//! processing elements), reads the tip CLVs from a [`TipTable`] it may
+//! share with other workspaces over the same alignment, and drives any
+//! backend through a postorder plan, then integrates the
 //! root CLV over rate categories and states into the final
 //! log-likelihood. The integration is done on the host in double
 //! precision — in MrBayes too, the per-site products are `f32` but the
@@ -19,6 +21,7 @@ use crate::model::SiteModel;
 use crate::resilience::PlfError;
 use crate::tree::{NodeId, Tree, TreeError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Errors from evaluator construction or evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +32,13 @@ pub enum LikelihoodError {
     Tree(TreeError),
     /// The PLF backend failed (device fault, corrupted output, …).
     Backend(PlfError),
+    /// The model's rate count differs from the tip table's.
+    RateCount {
+        /// Rate categories of the tip table.
+        tips: usize,
+        /// Rate categories of the model.
+        model: usize,
+    },
 }
 
 impl std::fmt::Display for LikelihoodError {
@@ -37,6 +47,10 @@ impl std::fmt::Display for LikelihoodError {
             LikelihoodError::UnknownTaxon(t) => write!(f, "taxon {t} not in alignment"),
             LikelihoodError::Tree(e) => write!(f, "{e}"),
             LikelihoodError::Backend(e) => write!(f, "backend failure: {e}"),
+            LikelihoodError::RateCount { tips, model } => write!(
+                f,
+                "model has {model} rate categories but the tip table has {tips}"
+            ),
         }
     }
 }
@@ -93,6 +107,17 @@ pub(crate) fn ln_site_likelihood(
     }
 }
 
+fn check_rates(tips: &TipTable, model: &SiteModel) -> Result<(), LikelihoodError> {
+    if tips.n_rates == model.n_rates() {
+        Ok(())
+    } else {
+        Err(LikelihoodError::RateCount {
+            tips: tips.n_rates,
+            model: model.n_rates(),
+        })
+    }
+}
+
 /// Stationary-frequency mass of the states in a constant-pattern mask.
 pub(crate) fn invariant_support(mask: u8, freqs: &[f64; 4]) -> f64 {
     let mut acc = 0.0;
@@ -104,19 +129,59 @@ pub(crate) fn invariant_support(mask: u8, freqs: &[f64; 4]) -> f64 {
     acc
 }
 
+/// The per-alignment half of a likelihood workspace: one tip CLV per
+/// taxon (replicated across `n_rates` categories), the pattern weights
+/// and the constant-pattern masks. It never changes after construction,
+/// so every [`TreeLikelihood`] over the same alignment and rate count
+/// can share one table through an `Arc` (BEAGLE sets tip data once per
+/// instance in the same way).
+#[derive(Debug)]
+pub struct TipTable {
+    /// Taxon name → alignment row.
+    rows: HashMap<String, usize>,
+    /// Tip CLVs, indexed by alignment row.
+    tips: Vec<Clv>,
+    n_patterns: usize,
+    n_rates: usize,
+    weights: Vec<f64>,
+    /// Per-pattern constant-state masks (for the +I likelihood term).
+    const_masks: Vec<u8>,
+}
+
+impl TipTable {
+    /// Expand every taxon of `data` into a tip CLV over `n_rates`
+    /// rate categories.
+    pub fn new(data: &PatternAlignment, n_rates: usize) -> TipTable {
+        TipTable {
+            rows: data
+                .taxa()
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.clone(), i))
+                .collect(),
+            tips: (0..data.n_taxa())
+                .map(|t| Clv::tip(data.taxon_patterns(t), n_rates))
+                .collect(),
+            n_patterns: data.n_patterns(),
+            n_rates,
+            weights: data.weights().iter().map(|&w| w as f64).collect(),
+            const_masks: data.constant_masks(),
+        }
+    }
+}
+
 /// Workspace + driver for computing tree log-likelihoods.
 pub struct TreeLikelihood {
     model: SiteModel,
-    n_patterns: usize,
-    weights: Vec<f64>,
-    /// Per-node CLV slots; tips are initialized once, internals reused.
+    /// Tip CLVs, weights and masks, shared with sibling workspaces.
+    tips: Arc<TipTable>,
+    /// Per node: the tip-table row of a leaf, `None` for internal nodes.
+    leaf_rows: Vec<Option<usize>>,
+    /// Per-node CLV slots of the internal nodes (leaf slots stay empty;
+    /// their CLVs live in `tips`).
     clvs: Vec<Option<Clv>>,
-    /// Which nodes are tips (their CLVs are immutable).
-    is_tip: Vec<bool>,
     /// Per-pattern accumulated log scalers, reset each evaluation.
     scalers: Vec<f32>,
-    /// Per-pattern constant-state masks (for the +I likelihood term).
-    const_masks: Vec<u8>,
     /// Rescale after every n-th internal node (0 = never).
     scale_every: usize,
 }
@@ -126,7 +191,9 @@ impl TreeLikelihood {
     ///
     /// Leaf nodes are matched to alignment rows by taxon name. The tree's
     /// arena must stay fixed afterwards (branch lengths and topology may
-    /// change — that is what MCMC does — but node identity must not).
+    /// change — that is what MCMC does — but node identity must not);
+    /// [`TreeLikelihood::rebind`] re-targets the workspace at another
+    /// tree.
     pub fn new(
         tree: &Tree,
         data: &PatternAlignment,
@@ -142,41 +209,89 @@ impl TreeLikelihood {
         model: SiteModel,
         scale_every: usize,
     ) -> Result<TreeLikelihood, LikelihoodError> {
-        tree.validate()?;
-        let n_patterns = data.n_patterns();
-        let n_rates = model.n_rates();
-        let taxon_index: HashMap<&str, usize> = data
-            .taxa()
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.as_str(), i))
-            .collect();
-        let mut clvs: Vec<Option<Clv>> = Vec::with_capacity(tree.n_nodes());
-        let mut is_tip = Vec::with_capacity(tree.n_nodes());
-        for id in tree.node_ids() {
-            let node = tree.node(id);
-            if node.is_leaf() {
-                let name = node.name.as_deref().expect("validated leaf has a name");
-                let &t = taxon_index
-                    .get(name)
-                    .ok_or_else(|| LikelihoodError::UnknownTaxon(name.to_string()))?;
-                clvs.push(Some(Clv::tip(data.taxon_patterns(t), n_rates)));
-                is_tip.push(true);
-            } else {
-                clvs.push(Some(Clv::zeroed(n_patterns, n_rates)));
-                is_tip.push(false);
-            }
-        }
-        Ok(TreeLikelihood {
+        let tips = Arc::new(TipTable::new(data, model.n_rates()));
+        Self::bound(tips, tree, model, scale_every)
+    }
+
+    /// As [`TreeLikelihood::new`], over an existing tip table (shared,
+    /// not copied) instead of an alignment.
+    pub fn with_tips(
+        tips: Arc<TipTable>,
+        tree: &Tree,
+        model: SiteModel,
+    ) -> Result<TreeLikelihood, LikelihoodError> {
+        Self::bound(tips, tree, model, 1)
+    }
+
+    fn bound(
+        tips: Arc<TipTable>,
+        tree: &Tree,
+        model: SiteModel,
+        scale_every: usize,
+    ) -> Result<TreeLikelihood, LikelihoodError> {
+        check_rates(&tips, &model)?;
+        let mut eval = TreeLikelihood {
             model,
-            n_patterns,
-            weights: data.weights().iter().map(|&w| w as f64).collect(),
-            clvs,
-            is_tip,
-            scalers: vec![0.0; n_patterns],
-            const_masks: data.constant_masks(),
+            scalers: vec![0.0; tips.n_patterns],
+            tips,
+            leaf_rows: Vec::new(),
+            clvs: Vec::new(),
             scale_every,
-        })
+        };
+        eval.bind(tree)?;
+        Ok(eval)
+    }
+
+    /// Re-target this workspace at `tree` under `model`, over the same
+    /// alignment and rate count. Leaves may sit at other node ids and
+    /// the topology may differ. The internal CLVs are reused as they
+    /// are, not zero-filled: every kernel overwrites its whole output
+    /// before anything reads it. On error the workspace is unchanged.
+    pub fn rebind(&mut self, tree: &Tree, model: SiteModel) -> Result<(), LikelihoodError> {
+        check_rates(&self.tips, &model)?;
+        self.bind(tree)?;
+        self.model = model;
+        Ok(())
+    }
+
+    /// Map `tree`'s leaves to tip-table rows and give every internal
+    /// node a CLV slot, recycling the slots of the previous tree.
+    fn bind(&mut self, tree: &Tree) -> Result<(), LikelihoodError> {
+        tree.validate()?;
+        let leaf_rows = tree
+            .node_ids()
+            .map(|id| {
+                let node = tree.node(id);
+                if !node.is_leaf() {
+                    return Ok(None);
+                }
+                let name = node.name.as_deref().unwrap_or_default();
+                match self.tips.rows.get(name) {
+                    Some(&row) => Ok(Some(row)),
+                    None => Err(LikelihoodError::UnknownTaxon(name.to_string())),
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut spare: Vec<Clv> = self.clvs.drain(..).flatten().collect();
+        let (n_patterns, n_rates) = (self.tips.n_patterns, self.tips.n_rates);
+        self.clvs = leaf_rows
+            .iter()
+            .map(|row| match row {
+                Some(_) => None,
+                None => Some(
+                    spare
+                        .pop()
+                        .unwrap_or_else(|| Clv::zeroed(n_patterns, n_rates)),
+                ),
+            })
+            .collect();
+        self.leaf_rows = leaf_rows;
+        Ok(())
+    }
+
+    /// The shared tip table (for workspaces over the same alignment).
+    pub fn tips(&self) -> &Arc<TipTable> {
+        &self.tips
     }
 
     /// The site model in use.
@@ -192,7 +307,7 @@ impl TreeLikelihood {
 
     /// Number of site patterns.
     pub fn n_patterns(&self) -> usize {
-        self.n_patterns
+        self.tips.n_patterns
     }
 
     /// Evaluate the log-likelihood of `tree` using `backend`.
@@ -239,8 +354,8 @@ impl TreeLikelihood {
                 PlfOp::Down { node, left, right } => {
                     let mut out = self.clvs[node.0].take().expect("CLV slot present");
                     let result = {
-                        let l = self.clvs[left.0].as_ref().expect("child CLV computed");
-                        let r = self.clvs[right.0].as_ref().expect("child CLV computed");
+                        let l = self.clv(*left);
+                        let r = self.clv(*right);
                         backend.cond_like_down(l, tm(*left), r, tm(*right), &mut out)
                     };
                     // The slot must be restored even on error, or the
@@ -251,18 +366,16 @@ impl TreeLikelihood {
                 PlfOp::Root { node, children } => {
                     let mut out = self.clvs[node.0].take().expect("CLV slot present");
                     let result = {
-                        let a = self.clvs[children[0].0].as_ref().unwrap();
-                        let b = self.clvs[children[1].0].as_ref().unwrap();
-                        let c = children
-                            .get(2)
-                            .map(|c3| (self.clvs[c3.0].as_ref().unwrap(), tm(*c3)));
+                        let a = self.clv(children[0]);
+                        let b = self.clv(children[1]);
+                        let c = children.get(2).map(|&c3| (self.clv(c3), tm(c3)));
                         backend.cond_like_root(a, tm(children[0]), b, tm(children[1]), c, &mut out)
                     };
                     self.clvs[node.0] = Some(out);
                     result?;
                 }
                 PlfOp::Scale { node } => {
-                    assert!(!self.is_tip[node.0], "tips are never rescaled");
+                    assert!(self.leaf_rows[node.0].is_none(), "tips are never rescaled");
                     let mut clv = self.clvs[node.0].take().expect("CLV slot present");
                     let result = backend.cond_like_scaler(&mut clv, &mut self.scalers);
                     self.clvs[node.0] = Some(clv);
@@ -282,7 +395,7 @@ impl TreeLikelihood {
         let pinvar = self.model.pinvar();
         let cat_weight = 1.0 / n_rates as f64;
         let mut lnl = 0.0f64;
-        for i in 0..self.n_patterns {
+        for i in 0..self.tips.n_patterns {
             let mut site = 0.0f64;
             for k in 0..n_rates {
                 let e = clv.entry(i, k);
@@ -292,8 +405,8 @@ impl TreeLikelihood {
                 }
                 site += cat_weight * acc;
             }
-            let inv = invariant_support(self.const_masks[i], &freqs);
-            lnl += self.weights[i]
+            let inv = invariant_support(self.tips.const_masks[i], &freqs);
+            lnl += self.tips.weights[i]
                 * ln_site_likelihood(site, self.scalers[i] as f64, pinvar, inv);
         }
         lnl
@@ -301,7 +414,7 @@ impl TreeLikelihood {
 
     /// Read access to a node's CLV (for tests and cross-backend checks).
     pub fn clv(&self, node: NodeId) -> &Clv {
-        self.clvs[node.0].as_ref().expect("CLV slot present")
+        self.clv_opt(node).expect("CLV slot present")
     }
 
     /// The accumulated per-pattern log scalers from the last evaluation.
@@ -337,9 +450,13 @@ impl TreeLikelihood {
         }
     }
 
-    /// Shared access to a node's CLV without panicking on absence.
+    /// Shared access to a node's CLV — a leaf's from the tip table —
+    /// without panicking on absence.
     pub(crate) fn clv_opt(&self, node: NodeId) -> Option<&Clv> {
-        self.clvs.get(node.0).and_then(Option::as_ref)
+        match self.leaf_rows.get(node.0) {
+            Some(Some(row)) => self.tips.tips.get(*row),
+            _ => self.clvs.get(node.0).and_then(Option::as_ref),
+        }
     }
 
     /// Overwrite a node's CLV with a cached copy; `false` if the slot
@@ -571,6 +688,69 @@ mod tests {
         // Huge negative scaler must not overflow.
         let v = ln_site_likelihood(0.5, -5000.0, 0.2, 0.25);
         assert!((v - (0.2f64 * 0.25).ln()).abs() < 1e-9);
+    }
+
+    fn fresh_lnl(tree: &Tree, aln: &PatternAlignment, model: &SiteModel) -> f64 {
+        let mut eval = TreeLikelihood::new(tree, aln, model.clone()).unwrap();
+        eval.log_likelihood(tree, &mut ScalarBackend).unwrap()
+    }
+
+    #[test]
+    fn rebind_matches_a_fresh_workspace_bitwise() {
+        let (tree, aln) = toy();
+        let model =
+            SiteModel::gtr_gamma4(GtrParams::hky85(2.0, [0.3, 0.2, 0.2, 0.3]), 0.7).unwrap();
+        let mut eval = TreeLikelihood::new(&tree, &aln, model.clone()).unwrap();
+        eval.log_likelihood(&tree, &mut ScalarBackend).unwrap();
+        // The same tree written in another order puts its leaves at
+        // other node ids; then a fresh topology; then one branch moved.
+        let reordered = Tree::from_newick("(d:0.4,c:0.3,(b:0.2,a:0.1):0.05);").unwrap();
+        assert_ne!(reordered.leaves(), tree.leaves());
+        let other = Tree::from_newick("((a:0.1,c:0.2):0.05,b:0.3,d:0.4);").unwrap();
+        let mut proposal = other.clone();
+        let leaf = proposal.leaves()[1];
+        proposal.node_mut(leaf).branch *= 1.7;
+        let jc = SiteModel::gtr_gamma4(GtrParams::jc69(), 0.3).unwrap();
+        for (t, m) in [
+            (&reordered, &model),
+            (&other, &model),
+            (&proposal, &jc),
+            (&tree, &model),
+        ] {
+            eval.rebind(t, m.clone()).unwrap();
+            let got = eval.log_likelihood(t, &mut ScalarBackend).unwrap();
+            assert_eq!(got.to_bits(), fresh_lnl(t, &aln, m).to_bits());
+        }
+    }
+
+    #[test]
+    fn sibling_workspaces_share_one_tip_table() {
+        let (tree, aln) = toy();
+        let model = SiteModel::jc69();
+        let first = TreeLikelihood::new(&tree, &aln, model.clone()).unwrap();
+        let mut sibling =
+            TreeLikelihood::with_tips(Arc::clone(first.tips()), &tree, model.clone()).unwrap();
+        assert!(Arc::ptr_eq(first.tips(), sibling.tips()));
+        let got = sibling.log_likelihood(&tree, &mut ScalarBackend).unwrap();
+        assert_eq!(got.to_bits(), fresh_lnl(&tree, &aln, &model).to_bits());
+    }
+
+    #[test]
+    fn failed_rebind_leaves_the_workspace_usable() {
+        let (tree, aln) = toy();
+        let model = SiteModel::gtr_gamma4(GtrParams::jc69(), 0.5).unwrap();
+        let mut eval = TreeLikelihood::new(&tree, &aln, model.clone()).unwrap();
+        let stranger = Tree::from_newick("((a:0.1,b:0.2):0.05,c:0.3,zzz:0.4);").unwrap();
+        assert_eq!(
+            eval.rebind(&stranger, model.clone()),
+            Err(LikelihoodError::UnknownTaxon("zzz".into()))
+        );
+        assert_eq!(
+            eval.rebind(&tree, SiteModel::jc69()),
+            Err(LikelihoodError::RateCount { tips: 4, model: 1 })
+        );
+        let got = eval.log_likelihood(&tree, &mut ScalarBackend).unwrap();
+        assert_eq!(got.to_bits(), fresh_lnl(&tree, &aln, &model).to_bits());
     }
 
     #[test]

@@ -362,6 +362,7 @@ pub struct ServiceCounters {
     clv_cache_hits: AtomicU64,
     clv_cache_misses: AtomicU64,
     clv_cache_evictions: AtomicU64,
+    fused_fallbacks: AtomicU64,
     tenants: Mutex<BTreeMap<String, TenantCell>>,
 }
 
@@ -543,6 +544,12 @@ impl ServiceCounters {
         self.clv_cache_evictions.fetch_add(evictions, Ordering::Relaxed);
     }
 
+    /// Record one shard whose fused pass failed and was re-run job by
+    /// job.
+    pub fn record_fused_fallback(&self) {
+        self.fused_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record one fused batch dispatched carrying `jobs` jobs out of
     /// `slots` possible (the scheduler's `max_jobs` cap); feeds batch
     /// occupancy.
@@ -592,6 +599,7 @@ impl ServiceCounters {
             &self.clv_cache_hits,
             &self.clv_cache_misses,
             &self.clv_cache_evictions,
+            &self.fused_fallbacks,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -654,6 +662,7 @@ impl ServiceCounters {
             clv_cache_hits: self.clv_cache_hits.load(Ordering::Relaxed),
             clv_cache_misses: self.clv_cache_misses.load(Ordering::Relaxed),
             clv_cache_evictions: self.clv_cache_evictions.load(Ordering::Relaxed),
+            fused_fallbacks: self.fused_fallbacks.load(Ordering::Relaxed),
             tenants,
         }
     }
@@ -754,6 +763,8 @@ pub struct ServiceSnapshot {
     pub clv_cache_misses: u64,
     /// CLV-cache entries displaced by the capacity bound.
     pub clv_cache_evictions: u64,
+    /// Shards whose fused pass failed and were re-run job by job.
+    pub fused_fallbacks: u64,
     /// Per-tenant breakdown, sorted by tenant name.
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -1215,6 +1226,7 @@ mod tests {
         c.record_probe(false);
         c.record_clv_cache(5, 2, 1);
         c.record_clv_cache(1, 0, 0);
+        c.record_fused_fallback();
         let s = c.snapshot();
         assert_eq!(s.shed, 2);
         assert_eq!(s.requeued_jobs, 3);
@@ -1228,6 +1240,7 @@ mod tests {
         assert_eq!(s.clv_cache_hits, 6);
         assert_eq!(s.clv_cache_misses, 2);
         assert_eq!(s.clv_cache_evictions, 1);
+        assert_eq!(s.fused_fallbacks, 1);
         assert_eq!(s.tenants[0].shed, 1);
         assert_eq!(s.tenants[1].shed, 1);
         c.reset();

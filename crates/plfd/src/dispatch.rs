@@ -36,18 +36,25 @@
 //! evaluation so a poisoned job resolves alone while its batchmates
 //! complete.
 //!
+//! **Evaluation workspaces.** A worker keeps the likelihood workspaces
+//! of the batch key it last served across shards: one tip table built
+//! from that dataset on the worker, shared by every workspace, and the
+//! internal CLVs of finished jobs, rebound to the next job's tree
+//! instead of rebuilt. A workspace whose evaluation errored or panicked
+//! is dropped, never kept.
+//!
 //! This file is in `plf-lint`'s L2 hot-path scope: no panicking calls.
 
 use crate::health::{
     is_backend_fault, run_probe, AdmissionController, BackendFactory, BreakerPolicy,
     BreakerState, CircuitBreaker, WatchdogPolicy,
 };
-use crate::job::{Job, JobId, JobOutcome};
+use crate::job::{BatchKey, Job, JobId, JobOutcome};
 use crate::scheduler::Batch;
 use plf_phylo::clv_cache::ClvCache;
 use plf_phylo::fused::{evaluate_fused, FusedJob};
 use plf_phylo::kernels::PlfBackend;
-use plf_phylo::likelihood::TreeLikelihood;
+use plf_phylo::likelihood::{LikelihoodError, TipTable, TreeLikelihood};
 use plf_phylo::metrics::ServiceCounters;
 use plf_phylo::resilience::{panic_message, FaultInjector, FaultSite, PlfError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -154,6 +161,42 @@ impl WorkerSlot {
         self.blackout_remaining
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
             .is_ok()
+    }
+}
+
+/// The likelihood workspaces one worker keeps across shards, for the
+/// batch key it last served.
+#[derive(Default)]
+struct Workspaces {
+    /// That batch key and the tip table built from its dataset.
+    current: Option<(BatchKey, Arc<TipTable>)>,
+    /// Workspaces of jobs that completed under that key, waiting to
+    /// be rebound.
+    idle: Vec<TreeLikelihood>,
+}
+
+impl Workspaces {
+    /// A workspace bound to `job`'s tree and model: an idle one rebound,
+    /// or a new one sharing the tip table. A new batch key replaces the
+    /// tip table and drops the idle workspaces of the old one.
+    fn checkout(&mut self, job: &Job) -> Result<TreeLikelihood, LikelihoodError> {
+        let key = job.batch_key();
+        let tips = match &self.current {
+            Some((k, tips)) if *k == key => Arc::clone(tips),
+            _ => {
+                self.idle.clear();
+                let tips = Arc::new(TipTable::new(&job.data, key.n_rates));
+                self.current = Some((key, Arc::clone(&tips)));
+                tips
+            }
+        };
+        match self.idle.pop() {
+            Some(mut eval) => {
+                eval.rebind(&job.tree, job.model.clone())?;
+                Ok(eval)
+            }
+            None => TreeLikelihood::with_tips(tips, &job.tree, job.model.clone()),
+        }
     }
 }
 
@@ -552,6 +595,7 @@ fn worker_loop(
     // worker runs (hits materialize when later shards repeat subtrees).
     let mut cache =
         (shared.clv_cache_entries > 0).then(|| ClvCache::new(shared.clv_cache_entries));
+    let mut workspaces = Workspaces::default();
     loop {
         match rx.recv_timeout(PROBE_TICK) {
             Ok(shard) => {
@@ -582,13 +626,24 @@ fn worker_loop(
                 }
                 // Survivors run as one fused pass when there are at
                 // least two; any fused-level failure falls back to the
-                // per-job path for fault containment.
-                let fused_done = runnable.len() >= 2
-                    && run_shard_fused(shared, slot, backend.as_mut(), &runnable, &mut cache);
+                // per-job path for fault containment, and is counted.
+                let fused = runnable.len() >= 2;
+                let fused_done = fused
+                    && run_shard_fused(
+                        shared,
+                        slot,
+                        backend.as_mut(),
+                        &runnable,
+                        &mut cache,
+                        &mut workspaces,
+                    );
+                if fused && !fused_done {
+                    shared.counters.record_fused_fallback();
+                }
                 if !fused_done {
                     for job in &runnable {
                         shared.beat(idx);
-                        evaluate_one(shared, idx, slot, backend.as_mut(), job);
+                        evaluate_one(shared, idx, slot, backend.as_mut(), job, &mut workspaces);
                     }
                 }
                 for job in &runnable {
@@ -619,6 +674,7 @@ fn run_shard_fused(
     backend: &mut dyn PlfBackend,
     jobs: &[Arc<Job>],
     cache: &mut Option<ClvCache>,
+    workspaces: &mut Workspaces,
 ) -> bool {
     let Some(first) = jobs.first() else {
         return true;
@@ -631,10 +687,12 @@ fn run_shard_fused(
         return false;
     }
     let started = Instant::now();
+    // The workspaces move into the closure, so an error or a panic
+    // drops them instead of handing them to the next shard.
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut evals = Vec::with_capacity(jobs.len());
         for job in jobs.iter() {
-            evals.push(TreeLikelihood::new(&job.tree, &job.data, job.model.clone())?);
+            evals.push(workspaces.checkout(job)?);
         }
         let mut fused: Vec<FusedJob<'_>> = evals
             .iter_mut()
@@ -645,7 +703,8 @@ fn run_shard_fused(
                 dataset_token: job.dataset.0,
             })
             .collect();
-        evaluate_fused(&mut fused, backend, cache.as_mut())
+        let lnls = evaluate_fused(&mut fused, backend, cache.as_mut())?;
+        Ok::<_, LikelihoodError>((evals, lnls))
     }));
     if let Some(c) = cache.as_mut() {
         let stats = c.take_stats();
@@ -655,7 +714,8 @@ fn run_shard_fused(
     }
     let elapsed = started.elapsed();
     match result {
-        Ok(Ok(lnls)) if lnls.len() == jobs.len() => {
+        Ok(Ok((evals, lnls))) if lnls.len() == jobs.len() => {
+            workspaces.idle.extend(evals);
             // The fused pass served every job; attribute the shared
             // evaluation time evenly across them.
             let service = elapsed
@@ -754,16 +814,20 @@ fn evaluate_one(
     slot: &WorkerSlot,
     backend: &mut dyn PlfBackend,
     job: &Arc<Job>,
+    workspaces: &mut Workspaces,
 ) {
     let started = Instant::now();
     let wait = started.saturating_duration_since(job.submitted_at);
+    // As in `run_shard_fused`: a failed evaluation drops its workspace.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut eval = TreeLikelihood::new(&job.tree, &job.data, job.model.clone())?;
-        eval.log_likelihood(&job.tree, backend)
+        let mut eval = workspaces.checkout(job)?;
+        let lnl = eval.log_likelihood(&job.tree, backend)?;
+        Ok::<_, LikelihoodError>((eval, lnl))
     }));
     let service = started.elapsed();
     match result {
-        Ok(Ok(ln_likelihood)) => {
+        Ok(Ok((eval, ln_likelihood))) => {
+            workspaces.idle.push(eval);
             slot.breaker.record_success();
             if job.try_claim() {
                 shared.counters.record_completed(&job.tenant, wait, service);
@@ -781,9 +845,7 @@ fn evaluate_one(
             // (and Config errors) are caller mistakes that would fail
             // identically on any worker.
             match err {
-                plf_phylo::likelihood::LikelihoodError::Backend(plf)
-                    if is_backend_fault(&plf) =>
-                {
+                LikelihoodError::Backend(plf) if is_backend_fault(&plf) => {
                     fault_outcome(shared, idx, slot, job, &plf);
                 }
                 other => {
@@ -897,5 +959,296 @@ fn respawn(shared: &Arc<PoolShared>, i: usize) {
         for job in orphans {
             shared.park_for_redirect(job);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::ShedPolicy;
+    use crate::job::{DatasetId, JobCell, Priority};
+    use plf_phylo::alignment::PatternAlignment;
+    use plf_phylo::clv::{Clv, TransitionMatrices};
+    use plf_phylo::kernels::{FusedDown, FusedRoot, FusedScale, ScalarBackend, Simd4Backend};
+    use plf_phylo::model::{GtrParams, SiteModel};
+    use plf_phylo::tree::Tree;
+    use std::sync::atomic::AtomicU8;
+
+    const PASS: u8 = 0;
+    const FAIL_FUSED: u8 = 1;
+    const PANIC_FUSED: u8 = 2;
+    const FAIL_PER_OP: u8 = 3;
+
+    /// Column-wise SIMD (scalar bits) with a one-shot fault the test
+    /// arms: the next fused kernel call errors or panics, or the next
+    /// per-op kernel call errors.
+    struct Faulty {
+        inner: Simd4Backend,
+        armed: Arc<AtomicU8>,
+    }
+
+    impl Faulty {
+        fn trip(&self, fused: bool) -> Result<(), PlfError> {
+            let mode = self.armed.load(Ordering::SeqCst);
+            let hit = match mode {
+                FAIL_FUSED | PANIC_FUSED => fused,
+                FAIL_PER_OP => !fused,
+                _ => false,
+            };
+            if !hit {
+                return Ok(());
+            }
+            self.armed.store(PASS, Ordering::SeqCst);
+            assert_ne!(mode, PANIC_FUSED, "injected panic in a fused kernel");
+            Err(PlfError::Transfer {
+                backend: self.name(),
+                channel: "test",
+                detail: "injected fault".into(),
+            })
+        }
+    }
+
+    impl PlfBackend for Faulty {
+        fn name(&self) -> String {
+            "faulty".into()
+        }
+
+        fn cond_like_down(
+            &mut self,
+            left: &Clv,
+            p_left: &TransitionMatrices,
+            right: &Clv,
+            p_right: &TransitionMatrices,
+            out: &mut Clv,
+        ) -> Result<(), PlfError> {
+            self.trip(false)?;
+            self.inner.cond_like_down(left, p_left, right, p_right, out)
+        }
+
+        fn cond_like_root(
+            &mut self,
+            a: &Clv,
+            p_a: &TransitionMatrices,
+            b: &Clv,
+            p_b: &TransitionMatrices,
+            c: Option<(&Clv, &TransitionMatrices)>,
+            out: &mut Clv,
+        ) -> Result<(), PlfError> {
+            self.trip(false)?;
+            self.inner.cond_like_root(a, p_a, b, p_b, c, out)
+        }
+
+        fn cond_like_scaler(
+            &mut self,
+            clv: &mut Clv,
+            ln_scalers: &mut [f32],
+        ) -> Result<(), PlfError> {
+            self.trip(false)?;
+            self.inner.cond_like_scaler(clv, ln_scalers)
+        }
+
+        fn cond_like_down_fused(&mut self, ops: &mut [FusedDown<'_>]) -> Result<(), PlfError> {
+            self.trip(true)?;
+            self.inner.cond_like_down_fused(ops)
+        }
+
+        fn cond_like_root_fused(&mut self, ops: &mut [FusedRoot<'_>]) -> Result<(), PlfError> {
+            self.trip(true)?;
+            self.inner.cond_like_root_fused(ops)
+        }
+
+        fn cond_like_scaler_fused(&mut self, ops: &mut [FusedScale<'_>]) -> Result<(), PlfError> {
+            self.trip(true)?;
+            self.inner.cond_like_scaler_fused(ops)
+        }
+    }
+
+    /// One worker on a [`Faulty`] backend, plus the switch that arms it.
+    fn one_worker() -> (WorkerPool, Arc<ServiceCounters>, Arc<AtomicU8>) {
+        let armed = Arc::new(AtomicU8::new(PASS));
+        let backend = Faulty {
+            inner: Simd4Backend::col_wise(),
+            armed: Arc::clone(&armed),
+        };
+        let counters = ServiceCounters::new();
+        let pool = WorkerPool::new(
+            vec![Box::new(backend)],
+            Vec::new(),
+            Arc::clone(&counters),
+            AdmissionController::new(Duration::from_millis(1), ShedPolicy::default()),
+            PoolConfig::default(),
+        );
+        (pool, counters, armed)
+    }
+
+    struct Dataset {
+        id: DatasetId,
+        data: Arc<PatternAlignment>,
+    }
+
+    fn dataset(id: u64, seed: u64) -> (Dataset, Tree) {
+        let ds = plf_seqgen::generate(plf_seqgen::DatasetSpec::new(8, 300), seed);
+        let dataset = Dataset {
+            id: DatasetId(id),
+            data: Arc::new(ds.data),
+        };
+        (dataset, ds.tree)
+    }
+
+    /// A random topology over the same eight taxa.
+    fn fresh_tree(seed: u64) -> Tree {
+        plf_seqgen::generate(plf_seqgen::DatasetSpec::new(8, 4), seed).tree
+    }
+
+    /// `tree` with one branch rescaled, as an MCMC proposal.
+    fn proposal(tree: &Tree, k: usize) -> Tree {
+        let mut t = tree.clone();
+        let branch = t.branches()[k % t.branches().len()];
+        t.node_mut(branch).branch *= 1.0 + 0.1 * (k as f64 + 1.0);
+        t
+    }
+
+    /// Send `trees` over `ds` to the pool as one shard and return each
+    /// job's outcome next to the scalar reference for its tree.
+    fn shard(
+        pool: &WorkerPool,
+        ds: &Dataset,
+        model: &SiteModel,
+        trees: &[Tree],
+    ) -> Vec<(JobOutcome, f64)> {
+        let mut jobs = Vec::new();
+        let mut cells = Vec::new();
+        for tree in trees {
+            let cell = JobCell::new();
+            cells.push(Arc::clone(&cell));
+            jobs.push(Job {
+                id: JobId(0),
+                tenant: "t".into(),
+                priority: Priority::Normal,
+                dataset: ds.id,
+                data: Arc::clone(&ds.data),
+                tree: tree.clone(),
+                model: model.clone(),
+                submitted_at: Instant::now(),
+                deadline: None,
+                cancelled: Arc::new(AtomicBool::new(false)),
+                cell,
+                resolved: AtomicBool::new(false),
+                redirected: AtomicBool::new(false),
+                journal: None,
+            });
+        }
+        let units = jobs.len();
+        pool.dispatch(Batch { jobs, units });
+        cells
+            .iter()
+            .zip(trees)
+            .map(|(cell, tree)| {
+                let mut eval = TreeLikelihood::new(tree, &ds.data, model.clone()).unwrap();
+                let want = eval.log_likelihood(tree, &mut ScalarBackend).unwrap();
+                (cell.wait(), want)
+            })
+            .collect()
+    }
+
+    fn assert_scalar_bits(results: &[(JobOutcome, f64)]) {
+        for (outcome, want) in results {
+            let got = outcome.ln_likelihood().expect("job completed");
+            assert_eq!(got.to_bits(), want.to_bits(), "{outcome:?} vs {want}");
+        }
+    }
+
+    #[test]
+    fn one_worker_reuses_workspaces_across_trees_and_datasets() {
+        let (pool, counters, _) = one_worker();
+        let gamma =
+            SiteModel::gtr_gamma4(GtrParams::hky85(2.0, [0.3, 0.2, 0.2, 0.3]), 0.6).unwrap();
+        let (a, base) = dataset(1, 11);
+        let (b, other) = dataset(2, 12);
+        let fresh = fresh_tree(13);
+        let props: Vec<Tree> = (0..3).map(|k| proposal(&base, k)).collect();
+        assert_scalar_bits(&shard(&pool, &a, &gamma, std::slice::from_ref(&base)));
+        assert_scalar_bits(&shard(&pool, &a, &gamma, &props));
+        assert_scalar_bits(&shard(&pool, &a, &gamma, std::slice::from_ref(&fresh)));
+        // More jobs than idle workspaces: siblings join the tip table.
+        let mixed = [
+            fresh_tree(14),
+            proposal(&fresh, 1),
+            fresh_tree(15),
+            base.clone(),
+            fresh_tree(16),
+        ];
+        assert_scalar_bits(&shard(&pool, &a, &gamma, &mixed));
+        // A second dataset of the same shape, then back, then another
+        // rate count over the first: each switch rebuilds the tips.
+        assert_scalar_bits(&shard(
+            &pool,
+            &b,
+            &gamma,
+            &[other.clone(), proposal(&other, 2)],
+        ));
+        assert_scalar_bits(&shard(&pool, &b, &gamma, &[fresh_tree(17)]));
+        assert_scalar_bits(&shard(&pool, &a, &gamma, &[proposal(&base, 4)]));
+        assert_scalar_bits(&shard(
+            &pool,
+            &a,
+            &SiteModel::jc69(),
+            &[base.clone(), fresh],
+        ));
+        let snap = counters.snapshot();
+        assert_eq!(snap.completed, 16);
+        assert_eq!(snap.fused_fallbacks, 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn faulted_workspaces_are_dropped_and_later_jobs_still_match() {
+        let (pool, counters, armed) = one_worker();
+        let model = plf_seqgen::default_model();
+        let (a, base) = dataset(1, 21);
+        let trees: Vec<Tree> = (0..4).map(|k| proposal(&base, k)).collect();
+        assert_scalar_bits(&shard(&pool, &a, &model, &trees));
+
+        // A fused shard that errors, then one that panics mid-pass (on
+        // fresh topologies, which the CLV cache cannot answer): the
+        // worker re-runs each job by job, and counts each fallback.
+        armed.store(FAIL_FUSED, Ordering::SeqCst);
+        assert_scalar_bits(&shard(
+            &pool,
+            &a,
+            &model,
+            &[fresh_tree(22), fresh_tree(23), base.clone()],
+        ));
+        assert_eq!(counters.snapshot().fused_fallbacks, 1);
+        armed.store(PANIC_FUSED, Ordering::SeqCst);
+        assert_scalar_bits(&shard(
+            &pool,
+            &a,
+            &model,
+            &[fresh_tree(24), trees[1].clone(), fresh_tree(25)],
+        ));
+        assert_eq!(counters.snapshot().fused_fallbacks, 2);
+
+        // A per-job fault fails that job alone (no redirect target).
+        armed.store(FAIL_PER_OP, Ordering::SeqCst);
+        let failed = shard(&pool, &a, &model, &[fresh_tree(26)]);
+        assert!(
+            matches!(failed[0].0, JobOutcome::Failed { .. }),
+            "{:?}",
+            failed[0].0
+        );
+
+        // Later jobs on the same worker, single and fused, still match.
+        assert_scalar_bits(&shard(&pool, &a, &model, &[fresh_tree(27)]));
+        assert_scalar_bits(&shard(
+            &pool,
+            &a,
+            &model,
+            &[base.clone(), fresh_tree(28), trees[3].clone()],
+        ));
+        let snap = counters.snapshot();
+        assert_eq!(snap.failed, 1);
+        assert_eq!(snap.fused_fallbacks, 2);
+        pool.shutdown();
     }
 }

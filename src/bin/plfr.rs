@@ -618,19 +618,22 @@ fn serve_listen(
     // The reactor already resolved or answered every staged job; this
     // drain flushes the journal and settles any service-side tail.
     let drain = service.drain(drain_deadline);
+    let snapshot = service.snapshot();
     eprintln!(
-        "plfd: drained — {} resolved, {} pending at deadline, journal {} ({:.3} s); \
-         {} conn(s) accepted, {} job(s) completed over the wire, {} unresolved at drain",
+        "plfd: drained — {} resolved, {} pending at deadline, journal {} ({:.3} s), \
+         {} fused fallback(s); {} conn(s) accepted, {} job(s) completed over the wire, \
+         {} unresolved at drain",
         drain.resolved,
         drain.pending_at_deadline,
         if drain.journal_flushed { "flushed" } else { "not flushed" },
         drain.elapsed.as_secs_f64(),
+        snapshot.fused_fallbacks,
         report.accepted,
         report.completed,
         report.unresolved
     );
     let summary = serde_json::json!({
-        "service": (service.snapshot()),
+        "service": snapshot,
         "net": (counters.snapshot()),
         "reactor": (report)
     });
@@ -763,11 +766,13 @@ fn serve_stdio_loop(
         }
     }
     eprintln!(
-        "plfd: drained — {} resolved, {} pending at deadline, journal {} ({:.3} s)",
+        "plfd: drained — {} resolved, {} pending at deadline, journal {} ({:.3} s), \
+         {} fused fallback(s)",
         drain.resolved,
         drain.pending_at_deadline,
         if drain.journal_flushed { "flushed" } else { "not flushed" },
-        drain.elapsed.as_secs_f64()
+        drain.elapsed.as_secs_f64(),
+        service.snapshot().fused_fallbacks
     );
     Ok(())
 }

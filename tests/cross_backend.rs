@@ -7,7 +7,7 @@
 //! variants only reorder float additions and must agree to tolerance.
 
 use plf_repro::prelude::*;
-use plf_repro::{evaluate_on_all_backends, seqgen};
+use plf_repro::{all_backends, evaluate_on_all_backends, seqgen};
 use proptest::prelude::*;
 
 fn check_agreement(taxa: usize, patterns: usize, seed: u64, shape: f64) {
@@ -43,6 +43,48 @@ fn agreement_medium() {
 #[test]
 fn agreement_many_taxa() {
     check_agreement(40, 120, 3, 0.3);
+}
+
+/// The same tree with every child list reversed, re-parsed so its
+/// leaves sit at other node ids.
+fn renumbered(tree: &Tree) -> Tree {
+    let mut flipped = tree.clone();
+    for id in tree.node_ids() {
+        flipped.node_mut(id).children.reverse();
+    }
+    Tree::from_newick(&flipped.to_newick()).unwrap()
+}
+
+#[test]
+fn rebind_matches_a_fresh_workspace_on_every_backend() {
+    // One workspace, rebound in turn onto the same tree with its leaves
+    // at other node ids, a fresh topology and a one-branch proposal
+    // off it, must give the bits of a workspace built for each tree.
+    let ds = seqgen::generate(DatasetSpec::new(12, 300), 7);
+    let model = SiteModel::gtr_gamma4(GtrParams::hky85(2.5, [0.3, 0.2, 0.2, 0.3]), 0.6).unwrap();
+    let moved = renumbered(&ds.tree);
+    let leaf_names = |t: &Tree| -> Vec<Option<String>> {
+        t.leaves()
+            .iter()
+            .map(|&id| t.node(id).name.clone())
+            .collect()
+    };
+    assert_ne!(leaf_names(&moved), leaf_names(&ds.tree));
+    let fresh = seqgen::generate(DatasetSpec::new(12, 8), 8).tree;
+    let mut proposal = fresh.clone();
+    let branch = proposal.branches()[3];
+    proposal.node_mut(branch).branch *= 1.3;
+    for mut backend in all_backends().unwrap() {
+        let mut eval = TreeLikelihood::new(&ds.tree, &ds.data, model.clone()).unwrap();
+        eval.log_likelihood(&ds.tree, backend.as_mut()).unwrap();
+        for tree in [&moved, &fresh, &proposal, &ds.tree] {
+            eval.rebind(tree, model.clone()).unwrap();
+            let got = eval.log_likelihood(tree, backend.as_mut()).unwrap();
+            let mut new = TreeLikelihood::new(tree, &ds.data, model.clone()).unwrap();
+            let want = new.log_likelihood(tree, backend.as_mut()).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{}", backend.name());
+        }
+    }
 }
 
 #[test]
